@@ -1,9 +1,10 @@
 """Ablation: Karp vs Howard for the SHIFTS cycle-mean stage.
 
-DESIGN.md calls out the cycle-mean backend as the dominant pipeline cost
-(E9).  This bench times both algorithms on the dense ``ms~``-style graphs
-SHIFTS actually builds, at the same size, asserting they agree -- the
-data behind the ``method=`` knob on :func:`repro.core.shifts.shifts`.
+DESIGN.md calls out the cycle-mean stage as the dominant pipeline cost
+(E9).  This bench times the dict oracle's two algorithms on the dense
+``ms~``-style graphs SHIFTS actually builds, at the same size, asserting
+they agree -- the data behind the ``method=`` choice of the oracle
+:func:`repro.core.shifts.shifts`.
 """
 
 import random
@@ -13,7 +14,6 @@ import pytest
 from repro.graphs.digraph import WeightedDigraph
 from repro.graphs.howard import maximum_cycle_mean_howard
 from repro.graphs.karp import maximum_cycle_mean
-from repro.graphs.karp_numpy import maximum_cycle_mean_numpy
 
 
 def _ms_like_graph(n: int, seed: int = 0) -> WeightedDigraph:
@@ -50,8 +50,3 @@ def test_ablation_karp(benchmark):
 def test_ablation_howard(benchmark):
     result = benchmark(lambda: maximum_cycle_mean_howard(GRAPH))
     assert result.mean == pytest.approx(EXPECTED, abs=1e-7)
-
-
-def test_ablation_karp_numpy(benchmark):
-    result = benchmark(lambda: maximum_cycle_mean_numpy(GRAPH))
-    assert result.mean == pytest.approx(EXPECTED, abs=1e-9)

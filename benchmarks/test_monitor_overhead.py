@@ -4,7 +4,7 @@ The telemetry hooks added for causality tracing and invariant monitoring
 (``recorder.emit`` call sites in the simulator and the pipeline, the
 ``pipeline.result`` event in ``from_matrices``) must be free when
 observability is disabled: with the default no-op recorder the n=64 E9
-pipeline (numpy backend) is gated against the archived
+pipeline is gated against the archived
 ``BENCH_engine.json`` result through the noise-aware ``repro.bench``
 comparison, same methodology as ``test_obs_overhead.py``.
 
@@ -34,7 +34,7 @@ def test_disabled_telemetry_passes_baseline_gate(capsys):
     system, mls = _pipeline_inputs()
 
     def once():
-        ClockSynchronizer(system, backend="numpy").from_local_estimates(mls)
+        ClockSynchronizer(system).from_local_estimates(mls)
 
     once()  # warm import/caches before timing
     assert_within_baseline_gate(once, "telemetry disabled", capsys)
@@ -43,7 +43,7 @@ def test_disabled_telemetry_passes_baseline_gate(capsys):
 def test_monitored_run_cost_is_bounded(capsys):
     """Monitors cost something; they must not dominate the pipeline."""
     system, mls = _pipeline_inputs()
-    sync = ClockSynchronizer(system, backend="numpy")
+    sync = ClockSynchronizer(system)
     sync.from_local_estimates(mls)
     unmonitored = _best_of(lambda: sync.from_local_estimates(mls))
     with recording() as recorder:
@@ -64,7 +64,7 @@ def test_monitored_run_cost_is_bounded(capsys):
 
 def test_enabled_recorder_without_observers_does_not_emit():
     system, mls = _pipeline_inputs()
-    sync = ClockSynchronizer(system, backend="numpy")
+    sync = ClockSynchronizer(system)
     with recording() as recorder:
         sync.from_local_estimates(mls)
         assert recorder.observers == []

@@ -2,8 +2,8 @@
 
 The instrumentation added to the sim/pipeline/engine hot paths must be
 free when disabled: with the default no-op recorder installed the n=64
-E9 pipeline (numpy backend) is measured live and gated against the
-archived ``engine.pipeline[backend=numpy,n=64]`` result in
+E9 pipeline is measured live and gated against the
+archived ``engine.pipeline[n=64]`` result in
 ``BENCH_engine.json`` through the noise-aware ``repro.bench`` comparison
 (DESIGN.md §13): a regression is flagged only when both the median and
 the min-of-repeats exceed the ``local`` tolerance.  The archive is a
@@ -55,10 +55,10 @@ def _best_of(fn, repeats=REPEATS):
 
 
 def baseline_result():
-    """The archived numpy n=64 pipeline result from ``BENCH_engine.json``."""
+    """The archived n=64 pipeline result from ``BENCH_engine.json``."""
     path = Path(__file__).resolve().parent / "BENCH_engine.json"
     report = read_bench_report(path)
-    return report.by_key()[f"engine.pipeline[backend=numpy,n={N}]"]
+    return report.by_key()[f"engine.pipeline[n={N}]"]
 
 
 def assert_within_baseline_gate(fn, label, capsys, attempts=3):
@@ -108,7 +108,7 @@ def test_noop_recorder_run_passes_baseline_gate(capsys):
     # synchronizer per timing) so the gate compares methodology-identical
     # numbers.
     def once():
-        ClockSynchronizer(system, backend="numpy").from_local_estimates(mls)
+        ClockSynchronizer(system).from_local_estimates(mls)
 
     once()  # warm import/caches before timing
     assert_within_baseline_gate(once, "obs disabled", capsys)
@@ -116,7 +116,7 @@ def test_noop_recorder_run_passes_baseline_gate(capsys):
 
 def test_enabled_recorder_overhead_is_bounded(capsys):
     system, mls = _pipeline_inputs()
-    sync = ClockSynchronizer(system, backend="numpy")
+    sync = ClockSynchronizer(system)
     sync.from_local_estimates(mls)
     disabled = _best_of(lambda: sync.from_local_estimates(mls))
     with recording() as rec:

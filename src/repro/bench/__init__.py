@@ -6,14 +6,14 @@ not printouts.  The pieces:
 * :mod:`repro.bench.registry` -- the ``@benchmark`` decorator and the
   suite tiers (``smoke`` for CI gating, ``full`` for the record);
 * :mod:`repro.bench.workloads` -- the standard cases covering every hot
-  path (engine kernels per backend x size, incremental repair, the
+  path (engine kernels per size, incremental repair, the
   simulator, online replay, campaign throughput, obs/monitor overhead);
 * :mod:`repro.bench.runner` -- warmup/repeat/trim measurement in three
   isolated passes (timing under the no-op recorder, memory under
   tracemalloc, an instrumented pass for histogram percentiles + spans);
 * :mod:`repro.bench.schema` -- versioned ``BenchResult``/``BenchReport``
   records with an environment fingerprint, document + JSONL-history
-  serialization, a validator, and legacy-format loader shims;
+  serialization, a validator, and a legacy-format loader shim;
 * :mod:`repro.bench.baseline` -- noise-aware regression comparison
   (median AND floor must both move beyond tolerance) with same-machine
   enforcement by default;
@@ -77,7 +77,6 @@ from repro.bench.schema import (
     EnvFingerprint,
     SampleStats,
     append_history,
-    load_engine_baseline,
     load_parallel_baseline,
     read_bench_report,
     read_history,
@@ -112,7 +111,6 @@ __all__ = [
     "comparison_table",
     "environment_lines",
     "load_default_workloads",
-    "load_engine_baseline",
     "load_parallel_baseline",
     "memory_table",
     "percentiles_table",

@@ -6,20 +6,19 @@ never pollutes the measurement::
 
     @benchmark(
         "engine.pipeline",
-        grid={"backend": ("python", "numpy"), "n": (8, 16, 32, 64)},
+        grid={"n": (8, 16, 32, 64)},
         suites=lambda p: SUITES if p["n"] <= 32 else ("full",),
     )
-    def engine_pipeline(backend, n):
+    def engine_pipeline(n):
         system, mls = _pipeline_inputs(n)
 
         def run():
-            ClockSynchronizer(system, backend=backend)\
-                .from_local_estimates(mls)
+            ClockSynchronizer(system).from_local_estimates(mls)
 
         return run
 
 ``grid`` expands the declaration into one :class:`BenchCase` per
-parameter combination (``engine.pipeline[backend=numpy,n=32]``...);
+parameter combination (``engine.pipeline[n=32]``...);
 ``suites`` assigns each case to tiers -- ``smoke`` is the small, fast
 subset CI gates on, ``full`` the complete set.  ``histograms`` names
 obs histograms whose latency percentiles the runner harvests from an
@@ -122,7 +121,7 @@ class BenchRegistry:
 
         ``names`` entries match either the bare benchmark name
         (``engine.pipeline`` selects every parameterization) or a full
-        key (``engine.pipeline[backend=numpy,n=32]``).
+        key (``engine.pipeline[n=32]``).
         """
         if suite is not None and suite not in SUITES:
             raise ValueError(

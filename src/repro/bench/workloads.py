@@ -6,14 +6,12 @@ Importing this module populates :data:`repro.bench.registry.REGISTRY`
 exactly once).  Coverage, top to bottom of the stack:
 
 * ``engine.pipeline`` -- the full GLOBAL ESTIMATES -> SHIFTS pipeline
-  per backend x ring size (the E9c ablation; regenerates
-  ``BENCH_engine.json``);
+  per ring size (regenerates ``BENCH_engine.json``);
 * ``engine.closure`` / ``engine.karp`` -- the two matrix kernels
   (min-plus Floyd--Warshall closure, Karp cycle mean + corrections) in
   isolation, so a regression in either is attributable;
 * ``engine.incremental`` -- single-edge incremental closure repair
-  (the online synchronizer's fast path; numpy backend only -- the
-  python backend recomputes from scratch);
+  (the online synchronizer's fast path);
 * ``sim.run`` -- the discrete-event simulator end to end;
 * ``online.replay`` -- a recorded execution streamed through the
   OnlineSynchronizer (incremental repair + cache behaviour under
@@ -64,39 +62,40 @@ def _pipeline_inputs(n: int, seed: int = 0):
 
 @benchmark(
     "engine.pipeline",
-    grid={"backend": ("python", "numpy"), "n": (8, 16, 32, 64)},
+    grid={"n": (8, 16, 32, 64)},
     suites=_smoke_sizes(16, 32),
 )
-def engine_pipeline(backend: str, n: int):
+def engine_pipeline(n: int):
     """GLOBAL ESTIMATES -> SHIFTS, fresh synchronizer per call (E9c)."""
     from repro.core.synchronizer import ClockSynchronizer
 
     scenario, _, mls = _pipeline_inputs(n)
     system = scenario.system
-    result = ClockSynchronizer(
-        system, backend=backend
-    ).from_local_estimates(mls)
+    result = ClockSynchronizer(system).from_local_estimates(mls)
 
     def run():
-        ClockSynchronizer(system, backend=backend).from_local_estimates(mls)
+        ClockSynchronizer(system).from_local_estimates(mls)
 
     return run, {"precision": result.precision}
 
 
-@benchmark(
-    "engine.closure",
-    grid={"backend": ("python", "numpy"), "n": (16, 32, 64)},
-    suites=_smoke_sizes(32),
-)
-def engine_closure(backend: str, n: int):
-    """The min-plus Floyd--Warshall closure kernel alone."""
-    from repro.core.synchronizer import ClockSynchronizer
-    from repro.engine import create_engine
+def _engine_inputs(n: int):
+    """A fresh engine plus the ``mls~`` matrix of the E9 ring."""
+    from repro.engine import ProcessorIndex, SyncEngine
 
     scenario, _, mls = _pipeline_inputs(n)
-    sync = ClockSynchronizer(scenario.system, backend=backend)
-    mls_matrix = sync.index.matrix(mls)
-    engine = create_engine(backend)
+    mls_matrix = ProcessorIndex(scenario.system.processors).matrix(mls)
+    return SyncEngine(), mls_matrix
+
+
+@benchmark(
+    "engine.closure",
+    grid={"n": (16, 32, 64)},
+    suites=_smoke_sizes(32),
+)
+def engine_closure(n: int):
+    """The min-plus Floyd--Warshall closure kernel alone."""
+    engine, mls_matrix = _engine_inputs(n)
 
     def run():
         engine.global_estimates(mls_matrix)
@@ -106,19 +105,13 @@ def engine_closure(backend: str, n: int):
 
 @benchmark(
     "engine.karp",
-    grid={"backend": ("python", "numpy"), "n": (16, 32, 64)},
+    grid={"n": (16, 32, 64)},
     suites=_smoke_sizes(32),
 )
-def engine_karp(backend: str, n: int):
+def engine_karp(n: int):
     """SHIFTS alone: Karp cycle mean + corrections on the closure."""
-    from repro.core.synchronizer import ClockSynchronizer
-    from repro.engine import create_engine
-
-    scenario, _, mls = _pipeline_inputs(n)
-    sync = ClockSynchronizer(scenario.system, backend=backend)
-    mls_matrix = sync.index.matrix(mls)
-    ms_matrix = create_engine(backend).global_estimates(mls_matrix)
-    engine = create_engine(backend)
+    engine, mls_matrix = _engine_inputs(n)
+    ms_matrix = engine.global_estimates(mls_matrix)
 
     def run():
         engine.shifts(ms_matrix)
@@ -132,14 +125,8 @@ def engine_karp(backend: str, n: int):
     suites=_smoke_sizes(32),
 )
 def engine_incremental(n: int):
-    """Single-edge incremental closure repair (numpy fast path)."""
-    from repro.core.synchronizer import ClockSynchronizer
-    from repro.engine import create_engine
-
-    scenario, _, mls = _pipeline_inputs(n)
-    sync = ClockSynchronizer(scenario.system, backend="numpy")
-    mls_matrix = sync.index.matrix(mls)
-    engine = create_engine("numpy")
+    """Single-edge incremental closure repair (the online fast path)."""
+    engine, mls_matrix = _engine_inputs(n)
     ms_matrix = engine.global_estimates(mls_matrix)
     # Tighten one finite off-diagonal mls~ entry, as one new message
     # observation would.
@@ -151,8 +138,7 @@ def engine_incremental(n: int):
     change = [(i, j, float(mls_matrix[i, j]) - 1e-3)]
 
     def run():
-        repaired = engine.incremental_update(ms_matrix, change)
-        assert repaired is not None, "numpy backend lost incremental path"
+        engine.incremental_update(ms_matrix, change)
 
     return run
 
@@ -275,7 +261,7 @@ def live_server(peers: int, queries: int):
 def obs_recording(n: int):
     """Pipeline under a live recorder -- the cost of tracing.
 
-    Compare against ``engine.pipeline[backend=numpy,n=32]`` (measured
+    Compare against ``engine.pipeline[n=32]`` (measured
     under the no-op recorder) for the enabled-observability overhead
     ratio; ``benchmarks/test_obs_overhead.py`` asserts the disabled
     path stays free.
@@ -288,9 +274,7 @@ def obs_recording(n: int):
 
     def run():
         with recording():
-            ClockSynchronizer(
-                system, backend="numpy"
-            ).from_local_estimates(mls)
+            ClockSynchronizer(system).from_local_estimates(mls)
 
     return run
 
@@ -308,8 +292,6 @@ def monitor_suite(n: int):
     def run():
         with recording() as rec:
             rec.add_observer(MonitorSuite())
-            ClockSynchronizer(
-                system, backend="numpy"
-            ).from_local_estimates(mls)
+            ClockSynchronizer(system).from_local_estimates(mls)
 
     return run

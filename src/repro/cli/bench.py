@@ -122,7 +122,7 @@ def _add_bench_run_arguments(parser: argparse.ArgumentParser) -> None:
         "--name", action="append", metavar="BENCH", default=None,
         help="run only this benchmark (bare name selects every "
         "parameterization, a full key like "
-        "'engine.karp[backend=numpy,n=32]' selects one); repeatable",
+        "'engine.karp[n=32]' selects one); repeatable",
     )
     parser.add_argument(
         "--repeats", type=int, default=5, metavar="N",

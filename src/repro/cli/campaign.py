@@ -7,7 +7,6 @@ import sys
 from typing import List, Optional
 
 from repro.cli._options import (
-    add_backend_argument,
     add_faults_argument,
     add_obs_arguments,
     add_workers_argument,
@@ -198,7 +197,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             workers=args.workers,
             shard=args.shard,
             cache_dir=cache_dir,
-            backend=args.backend,
             cell_timeout=args.cell_timeout,
             retries=args.retries,
             retry_backoff=args.retry_backoff,
@@ -228,13 +226,12 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             detail = Table(
                 title="campaign cells (grid order)",
                 headers=["scenario", "topology", "seed", "precision",
-                         "realized", "sound", "backend", "cache",
-                         "seconds"],
+                         "realized", "sound", "cache", "seconds"],
             )
             for r in outcome.results:
                 detail.add_row(
                     r.scenario, r.topology, r.seed, f"{r.precision:.6g}",
-                    f"{r.realized:.6g}", r.sound, r.backend,
+                    f"{r.realized:.6g}", r.sound,
                     "hit" if r.cache_hit else "-", f"{r.seconds:.3f}",
                 )
             detail.show()
@@ -380,7 +377,6 @@ def register(sub) -> None:
         "--retry-backoff", type=float, default=0.0, metavar="SECONDS",
         help="sleep SECONDS * attempt between retry rounds",
     )
-    add_backend_argument(p_campaign)
     add_obs_arguments(p_campaign)
     telemetry = p_campaign.add_argument_group(
         "fleet telemetry",

@@ -30,13 +30,11 @@ from repro._types import INF, ProcessorId, Time
 from repro.graphs.digraph import WeightedDigraph
 from repro.graphs.howard import maximum_cycle_mean_howard
 from repro.graphs.karp import maximum_cycle_mean
-from repro.graphs.karp_numpy import maximum_cycle_mean_numpy
 from repro.graphs.shortest_paths import NegativeCycleError, bellman_ford
 
-#: Available maximum-cycle-mean backends for SHIFTS step 1.
+#: Maximum-cycle-mean algorithms of the dict oracle's SHIFTS step 1.
 CYCLE_MEAN_METHODS = {
     "karp": maximum_cycle_mean,
-    "karp-numpy": maximum_cycle_mean_numpy,
     "howard": maximum_cycle_mean_howard,
 }
 
@@ -83,10 +81,12 @@ def shifts(
 ) -> ShiftsOutcome:
     """Run SHIFTS over all processors; see module docstring.
 
-    ``method`` selects the cycle-mean backend for step 1: ``"karp"`` (the
-    paper's choice, deterministic ``O(n * m)``) or ``"howard"`` (policy
-    iteration; usually faster on the dense ``ms~`` graphs, see the
-    ablation benchmark).  Both return identical results.
+    This dict/digraph implementation is the test oracle of the matrix
+    engine (:class:`repro.engine.SyncEngine`), which is the production
+    path.  ``method`` selects the cycle-mean algorithm for step 1:
+    ``"karp"`` (the paper's choice, deterministic ``O(n * m)``) or
+    ``"howard"`` (policy iteration, an independent second oracle).  Both
+    return the same precision up to float rounding.
 
     Raises :class:`UnboundedPrecisionError` when any ordered pair's
     estimate is infinite (use the synchronizer facade for per-component

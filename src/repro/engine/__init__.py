@@ -2,49 +2,28 @@
 
 The pipeline of the paper is dense matrix algebra: GLOBAL ESTIMATES is a
 min-plus closure, SHIFTS is a maximum cycle mean plus one single-source
-shortest-path tree.  This package gives those stages a common matrix
-substrate:
+shortest-path tree.  This package gives those stages one matrix
+implementation:
 
 * :class:`~repro.engine.index.ProcessorIndex` -- stable id <-> row map;
-* :class:`~repro.engine.base.SyncEngine` -- the stage interface, with
-  per-stage timing/counter hooks in
-  :class:`~repro.engine.stats.EngineStats`;
-* :mod:`~repro.engine.python_backend` -- the seed dict/digraph code as
-  the reference backend;
-* :mod:`~repro.engine.numpy_backend` -- vectorized kernels plus the
-  incremental single-edge closure update used by the online extension;
-* :mod:`~repro.engine.registry` -- backend registry and size-based
-  ``"auto"`` dispatch.
+* :class:`~repro.engine.matrix.SyncEngine` -- the vectorized stage
+  kernels plus the incremental single-edge closure update used by the
+  online extension, with per-stage timing/counter hooks in
+  :class:`~repro.engine.stats.EngineStats`.
 
-See DESIGN.md section "Engine layer" for the matrix layout and the
-invariants the backends are tested against.
+The dict/digraph code (:func:`repro.core.global_estimates.global_shift_estimates`,
+:func:`repro.core.shifts.shifts`) is the test oracle the engine is
+checked against.  See DESIGN.md section "Engine layer" for the matrix
+layout and the invariants.
 """
 
-from repro.engine.base import EngineShifts, SyncEngine
 from repro.engine.index import ProcessorIndex
-from repro.engine.numpy_backend import NumpyEngine
-from repro.engine.python_backend import PythonEngine
-from repro.engine.registry import (
-    AUTO_BACKEND,
-    NUMPY_BACKEND_THRESHOLD,
-    available_backends,
-    create_engine,
-    register_backend,
-    resolve_backend_name,
-)
+from repro.engine.matrix import EngineShifts, SyncEngine
 from repro.engine.stats import EngineStats
 
 __all__ = [
     "EngineShifts",
     "SyncEngine",
     "ProcessorIndex",
-    "NumpyEngine",
-    "PythonEngine",
-    "AUTO_BACKEND",
-    "NUMPY_BACKEND_THRESHOLD",
-    "available_backends",
-    "create_engine",
-    "register_backend",
-    "resolve_backend_name",
     "EngineStats",
 ]

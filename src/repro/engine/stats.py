@@ -1,8 +1,8 @@
 """Per-stage timing and counter hooks, backed by the metrics registry.
 
-Every engine owns an :class:`EngineStats`; the abstract base wraps each
+Every engine owns an :class:`EngineStats`; the engine wraps each
 pipeline stage (``global_estimates``, ``components``, ``shifts``,
-``incremental_update``) in a timed region, and backends bump named
+``incremental_update``) in a timed region, and bumps named
 counters for interesting events (nudge retries, relaxed edges, ...).
 Benchmarks read :meth:`EngineStats.snapshot` to report where time goes.
 
@@ -13,7 +13,7 @@ live as registry counters (``engine.<stage>.seconds``,
 ``engine.<stage>.calls``, ``engine.<name>``), which makes the stats
 
 * **thread-safe** -- registry instruments serialize updates, so the
-  online extension's refresh and parallel backends can interleave stage
+  online extension's refresh and other threads can interleave stage
   timers without torn updates;
 * **mergeable** -- :meth:`merge` aggregates stats across the many
   engines of a campaign;

@@ -14,8 +14,8 @@ from typing import List
 
 from repro.analysis.reporting import Table
 from repro.core.estimates import local_shift_estimates
-from repro.core.global_estimates import global_shift_estimates
-from repro.core.shifts import shifts
+from repro.core.global_estimates import global_shift_estimates, shift_graph
+from repro.core.shifts import CYCLE_MEAN_METHODS, shifts
 from repro.graphs import ring
 from repro.workloads.scenarios import bounded_uniform
 
@@ -41,16 +41,11 @@ def _time_stages(n: int, seed: int = 0):
     }
 
 
-def _backend_table(quick: bool) -> Table:
-    """SHIFTS cycle-mean backends head to head on the same ms~ matrices."""
-    import time
-
-    from repro.core.estimates import local_shift_estimates
-    from repro.core.global_estimates import global_shift_estimates
-    from repro.core.shifts import CYCLE_MEAN_METHODS
-
+def _cycle_mean_table(quick: bool) -> Table:
+    """The dict oracle's two cycle-mean methods on the same ms~ matrices."""
     table = Table(
-        title="E9b: SHIFTS backend ablation on the same ms~ matrices",
+        title="E9b: SHIFTS cycle-mean ablation (dict oracle) on the same "
+        "ms~ matrices",
         headers=["n"] + [f"{m} (s)" for m in sorted(CYCLE_MEAN_METHODS)],
     )
     sizes = [16, 32] if quick else [16, 32, 64]
@@ -72,49 +67,69 @@ def _backend_table(quick: bool) -> Table:
                 assert abs(outcome.precision - reference) < 1e-7
         table.add_row(*row)
     table.add_note(
-        "all backends return identical precisions (asserted); howard and "
-        "karp-numpy trade Python-loop time for iteration/array work"
+        "Karp and Howard return the same precision (asserted); both are "
+        "test oracles of the matrix engine, which runs Karp's recurrence"
     )
     return table
 
 
-def _engine_table(quick: bool) -> Table:
-    """Matrix engines head to head on the full estimates->shifts pipeline."""
-    from repro.core.synchronizer import ClockSynchronizer
-    from repro.engine import available_backends
+def oracle_pipeline(processors, mls) -> float:
+    """The dict oracle end to end; returns ``A^max`` of a one-component system.
 
-    backends = available_backends()
+    GLOBAL ESTIMATES by dict shortest paths, components by Tarjan on the
+    finite ``mls~`` graph, then SHIFTS (Karp + Bellman--Ford on a
+    :class:`~repro.graphs.digraph.WeightedDigraph`) -- the work the
+    matrix engine does, in the seed's dict form.
+    """
+    ms = global_shift_estimates(processors, mls)
+    components = shift_graph(processors, mls).strongly_connected_components()
+    if len(components) != 1:
+        raise ValueError("oracle_pipeline expects one component")
+    return shifts(processors, ms).precision
+
+
+def compare_pipelines(n: int, repeats: int = 1, seed: int = 0):
+    """Best-of-``repeats`` seconds of the dict oracle and the engine.
+
+    Both run on the same ``mls~`` of the E9 ring and must agree on
+    ``A^max`` to 1e-7.  Returns ``(oracle_seconds, engine_seconds)``.
+    """
+    from repro.core.synchronizer import ClockSynchronizer
+
+    scenario = bounded_uniform(ring(n), lb=1.0, ub=3.0, probes=2, seed=seed)
+    alpha = scenario.run()
+    mls = local_shift_estimates(scenario.system, alpha.views())
+    processors = list(scenario.system.processors)
+    sync = ClockSynchronizer(scenario.system)
+    sync.from_local_estimates(mls)  # warm-up
+    oracle_s = engine_s = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        oracle = oracle_pipeline(processors, mls)
+        t1 = time.perf_counter()
+        result = sync.from_local_estimates(mls)
+        t2 = time.perf_counter()
+        oracle_s = min(oracle_s, t1 - t0)
+        engine_s = min(engine_s, t2 - t1)
+        assert abs(result.precision - oracle) < 1e-7
+    return oracle_s, engine_s
+
+
+def _engine_table(quick: bool) -> Table:
+    """The matrix engine against the dict oracle on the full pipeline."""
     table = Table(
-        title="E9c: matrix engine backends on the full pipeline "
+        title="E9c: dict oracle vs matrix engine on the full pipeline "
         "(GLOBAL ESTIMATES + components + SHIFTS)",
-        headers=["n"] + [f"{b} (s)" for b in backends] + ["speedup"],
+        headers=["n", "dict oracle (s)", "engine (s)", "speedup"],
     )
     sizes = [8, 16] if quick else [8, 16, 32, 64]
     for n in sizes:
-        scenario = bounded_uniform(ring(n), lb=1.0, ub=3.0, probes=2, seed=0)
-        alpha = scenario.run()
-        mls = local_shift_estimates(scenario.system, alpha.views())
-        elapsed = {}
-        precisions = {}
-        for backend in backends:
-            sync = ClockSynchronizer(scenario.system, backend=backend)
-            sync.from_local_estimates(mls)  # warm-up (JIT-free, but caches)
-            t0 = time.perf_counter()
-            result = sync.from_local_estimates(mls)
-            elapsed[backend] = time.perf_counter() - t0
-            precisions[backend] = result.precision
-        reference = precisions[backends[0]]
-        for backend in backends[1:]:
-            assert abs(precisions[backend] - reference) < 1e-7
-        table.add_row(
-            n,
-            *(elapsed[b] for b in backends),
-            elapsed["python"] / max(elapsed["numpy"], 1e-12),
-        )
+        oracle_s, engine_s = compare_pipelines(n, repeats=3)
+        table.add_row(n, oracle_s, engine_s, oracle_s / max(engine_s, 1e-12))
     table.add_note(
-        "same corrections and A^max from every backend (asserted); the "
-        "numpy engine replaces per-edge dict work with dense min-plus / "
-        "Karp / Bellman--Ford matrix kernels"
+        "same A^max from both (asserted); the engine replaces per-edge "
+        "dict work with dense min-plus / Karp / Bellman--Ford matrix "
+        "kernels"
     )
     return table
 
@@ -156,7 +171,7 @@ def run(quick: bool = False) -> List[Table]:
                 f"empirical growth exponent ~ n^{exponent:.2f} "
                 f"(SHIFTS dominates; Karp on the complete ms~ graph is O(n^3))"
             )
-    return [table, _backend_table(quick), _engine_table(quick)]
+    return [table, _cycle_mean_table(quick), _engine_table(quick)]
 
 
-__all__ = ["run"]
+__all__ = ["run", "oracle_pipeline", "compare_pipelines"]

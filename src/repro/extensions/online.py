@@ -41,17 +41,12 @@ class OnlineSynchronizer:
     per directed edge -- exactly what a receiver can compute locally from
     a timestamped message (Lemma 6.1).
 
-    On engines with an incremental path (the numpy backend), a refresh
-    after a few new observations does not redo GLOBAL ESTIMATES from
-    scratch: since new extremes only *tighten* ``mls~``, the cached
-    ``ms~`` closure is repaired by relaxing paths through the improved
-    entries only.  The ``streaming == batch`` invariant is unaffected --
-    the incremental closure is exact (see
-    :mod:`repro.engine.numpy_backend`) -- and is property-tested.
-
-    ``method`` and ``backend`` are validated eagerly at construction (via
-    :class:`~repro.core.synchronizer.ClockSynchronizer`), so a typo fails
-    here rather than at the first :meth:`result` call.
+    A refresh after a few new observations does not redo GLOBAL
+    ESTIMATES from scratch: since new extremes only *tighten* ``mls~``,
+    the cached ``ms~`` closure is repaired by relaxing paths through the
+    improved entries only.  The ``streaming == batch`` invariant is
+    unaffected -- the incremental closure is exact (see
+    :mod:`repro.engine.matrix`) -- and is property-tested.
 
     Robustness options (both off by default, preserving the exact
     ``streaming == batch`` contract):
@@ -76,13 +71,10 @@ class OnlineSynchronizer:
     """
 
     def __init__(self, system: System, root: Optional[ProcessorId] = None,
-                 method: str = "karp", backend: Optional[str] = None,
                  *, reject_outliers: bool = False,
                  fallback: bool = False) -> None:
         self._system = system
-        self._synchronizer = ClockSynchronizer(
-            system, root=root, method=method, backend=backend
-        )
+        self._synchronizer = ClockSynchronizer(system, root=root)
         self._stats: Dict[Edge, DirectionStats] = {}
         self._observations = 0
         self._cached: Optional[SyncResult] = None
@@ -199,7 +191,7 @@ class OnlineSynchronizer:
 
     @property
     def synchronizer(self) -> ClockSynchronizer:
-        """The underlying batch synchronizer (exposes engine/backend/index)."""
+        """The underlying batch synchronizer (exposes engine/index)."""
         return self._synchronizer
 
     @property
@@ -359,11 +351,10 @@ class OnlineSynchronizer:
     ) -> Optional[np.ndarray]:
         """Repair the cached ``ms~`` closure from the new ``mls~`` matrix.
 
-        Returns ``None`` whenever the batch path must run instead: the
-        engine has no incremental support, an estimate *loosened*
-        (impossible under monotone ingestion, but guarded), or the update
-        exposed an inconsistency (the batch path re-derives the error
-        authoritatively).
+        Returns ``None`` whenever the batch path must run instead: an
+        estimate *loosened* (impossible under monotone ingestion, but
+        guarded), or the update exposed an inconsistency (the batch path
+        re-derives the error authoritatively).
         """
         old = self._last_mls_matrix
         if old is None or (mls_matrix > old).any():

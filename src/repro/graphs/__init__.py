@@ -1,9 +1,13 @@
 """Graph substrate: digraphs, shortest paths, cycle means, topologies.
 
-The two graph computations at the heart of the paper's pipeline live here:
+The two graph computations at the heart of the paper's pipeline live
+here in dict/digraph form.  The synchronization pipeline runs them as
+matrix kernels (:mod:`repro.engine`); these versions are its test
+oracles and serve the analysis layer:
 
 * :func:`~repro.graphs.karp.maximum_cycle_mean` -- the optimal precision
-  ``A^max`` of SHIFTS step 1 (Karp 1978, cited in Section 4.4);
+  ``A^max`` of SHIFTS step 1 (Karp 1978, cited in Section 4.4), with
+  Howard's policy iteration as a second, independent oracle;
 * :func:`~repro.graphs.shortest_paths.bellman_ford` and friends -- the
   distance computations of SHIFTS step 2 and GLOBAL ESTIMATES.
 """
@@ -12,10 +16,6 @@ from repro.graphs.digraph import Node, WeightedDigraph
 from repro.graphs.howard import (
     maximum_cycle_mean_howard,
     minimum_cycle_mean_howard,
-)
-from repro.graphs.karp_numpy import (
-    maximum_cycle_mean_numpy,
-    minimum_cycle_mean_numpy,
 )
 from repro.graphs.karp import (
     CycleMeanResult,
@@ -51,8 +51,6 @@ __all__ = [
     "WeightedDigraph",
     "maximum_cycle_mean_howard",
     "minimum_cycle_mean_howard",
-    "maximum_cycle_mean_numpy",
-    "minimum_cycle_mean_numpy",
     "CycleMeanResult",
     "cycle_mean",
     "cycle_weight",

@@ -81,13 +81,9 @@ def replay_cut(
     cut: Optional[int] = None,
     *,
     root: Optional[WireId] = None,
-    method: str = "karp",
-    backend: Optional[str] = None,
 ) -> SyncResult:
     """The batch pipeline's answer at one cut of the probe log."""
-    synchronizer = ClockSynchronizer(
-        system, root=root, method=method, backend=backend
-    )
+    synchronizer = ClockSynchronizer(system, root=root)
     views = log.views(cut, processors=system.processors)
     return synchronizer.from_views(views)
 
@@ -98,8 +94,6 @@ def verify_replay_equality(
     system: System,
     *,
     root: Optional[WireId] = None,
-    method: str = "karp",
-    backend: Optional[str] = None,
 ) -> ReplayReport:
     """Audit served answers: ``from_views(log[:cut])`` must match exactly.
 
@@ -117,9 +111,7 @@ def verify_replay_equality(
         by_cut.setdefault(answer.cut, []).append(answer)
     report.cuts = tuple(sorted(by_cut))
     for cut in report.cuts:
-        result = replay_cut(
-            log, system, cut, root=root, method=method, backend=backend
-        )
+        result = replay_cut(log, system, cut, root=root)
         for answer in by_cut[cut]:
             report.checked += 1
             replayed = result.corrections.get(answer.client)

@@ -97,8 +97,6 @@ class CorrectionServer(asyncio.DatagramProtocol):
         *,
         freshness: float = DEFAULT_FRESHNESS,
         root: Optional[WireId] = None,
-        method: str = "karp",
-        backend: Optional[str] = None,
         reject_outliers: bool = True,
         fallback: bool = True,
         keep_answers: bool = True,
@@ -113,8 +111,6 @@ class CorrectionServer(asyncio.DatagramProtocol):
         self._online = OnlineSynchronizer(
             system,
             root=root,
-            method=method,
-            backend=backend,
             reject_outliers=reject_outliers,
             fallback=fallback,
         )

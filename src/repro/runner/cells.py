@@ -7,7 +7,7 @@ campaigns embarrassingly parallel.  This module defines
 
 * :class:`CellSpec` -- the identity of a cell (what to run);
 * :class:`CellTask` -- a spec plus how to run it (builder callable,
-  certification and backend options);
+  certification option);
 * :class:`CellResult` -- the typed outcome (precision, ``rho_bar``,
   realized spread, per-stage timings, cache provenance) that campaigns
   and :func:`repro.sweep` return instead of ad-hoc tuples;
@@ -25,7 +25,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Tuple, Union
 
 from repro.core.optimality import verify_certificate
 from repro.core.precision import realized_spread
@@ -66,7 +66,6 @@ class CellTask:
     spec: CellSpec
     build: CellBuilder
     certify: bool = True
-    backend: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,6 @@ class CellResult:
     rho_bar: float
     realized: float
     sound: bool
-    backend: str
     seconds: float
     timings: Dict[str, float] = field(default_factory=dict)
     cache_hit: bool = False
@@ -132,7 +130,6 @@ class CellResult:
             "rho_bar": _json_safe(self.rho_bar),
             "realized": _json_safe(self.realized),
             "sound": self.sound,
-            "backend": self.backend,
             "seconds": self.seconds,
             "timings": {k: v for k, v in sorted(self.timings.items())},
             "cache_hit": self.cache_hit,
@@ -141,7 +138,11 @@ class CellResult:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "CellResult":
-        """Rebuild a result from :meth:`to_json` output."""
+        """Rebuild a result from :meth:`to_json` output.
+
+        Records written while cells still named their engine backend
+        carry a ``backend`` key; it is ignored.
+        """
         if data.get("type") != "campaign.cell":
             raise ValueError(
                 f"not a campaign.cell record: type={data.get('type')!r}"
@@ -158,7 +159,6 @@ class CellResult:
             rho_bar=number(data["rho_bar"]),
             realized=number(data["realized"]),
             sound=bool(data["sound"]),
-            backend=data["backend"],
             seconds=float(data["seconds"]),
             timings={k: float(v) for k, v in data.get("timings", {}).items()},
             cache_hit=bool(data.get("cache_hit", False)),
@@ -197,9 +197,7 @@ def execute_cell(task: CellTask) -> CellOutcome:
         recorder.observers = list(ambient.observers)
     with recording(recorder):
         alpha = scenario.run()
-        synchronizer = ClockSynchronizer(
-            scenario.system, backend=task.backend
-        )
+        synchronizer = ClockSynchronizer(scenario.system)
         result = synchronizer.from_execution(alpha)
         if task.certify:
             verify_certificate(result)
@@ -216,7 +214,6 @@ def execute_cell(task: CellTask) -> CellOutcome:
         rho_bar=result.guaranteed_rho_bar(),
         realized=spread,
         sound=sound,
-        backend=synchronizer.backend,
         seconds=time.perf_counter() - started,
         timings=timings,
         degraded=result.is_degraded,

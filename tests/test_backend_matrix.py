@@ -1,15 +1,18 @@
-"""Cross-backend matrix: every cycle-mean backend, every delay model.
+"""Engine vs dict oracle on every delay model.
 
-The ``method=`` knob must be purely a performance choice: for each
-scenario family, all three backends must produce certified results with
-identical precision and equally optimal corrections.
+For each scenario family, the matrix engine behind
+:class:`~repro.core.synchronizer.ClockSynchronizer` must produce a
+certified result whose precision matches the dict SHIFTS oracle
+(:func:`repro.core.shifts.shifts`) under each of its cycle-mean methods,
+and whose corrections are optimal under the oracle's ``ms~``.
 """
 
 import pytest
 
+from repro.core.global_estimates import global_shift_estimates
 from repro.core.optimality import verify_certificate
 from repro.core.precision import rho_bar
-from repro.core.shifts import CYCLE_MEAN_METHODS
+from repro.core.shifts import CYCLE_MEAN_METHODS, shifts
 from repro.core.synchronizer import ClockSynchronizer
 from repro.graphs.topology import ring
 from repro.workloads.scenarios import (
@@ -34,14 +37,17 @@ SCENARIOS = {
 def test_backend_certified_on_every_model(scenario_name, method):
     scenario = SCENARIOS[scenario_name]()
     alpha = scenario.run()
-    result = ClockSynchronizer(scenario.system, method=method).from_execution(
-        alpha
-    )
+    result = ClockSynchronizer(scenario.system).from_execution(alpha)
     verify_certificate(result)
-    # Cross-check precision against the default backend.
-    reference = ClockSynchronizer(scenario.system).from_execution(alpha)
-    assert result.precision == pytest.approx(reference.precision, abs=1e-9)
-    # Both correction sets are optimal under the same ms~.
-    assert rho_bar(reference.ms_tilde, result.corrections) == pytest.approx(
-        reference.precision, abs=1e-7
+    # Cross-check precision against the dict oracle under ``method``.
+    processors = list(scenario.system.processors)
+    ms_oracle = global_shift_estimates(processors, result.mls_tilde)
+    oracle = shifts(processors, ms_oracle, method=method)
+    assert result.precision == pytest.approx(oracle.precision, abs=1e-9)
+    # Both correction sets are optimal under the oracle's ms~.
+    assert rho_bar(ms_oracle, result.corrections) == pytest.approx(
+        oracle.precision, abs=1e-7
+    )
+    assert rho_bar(ms_oracle, oracle.corrections) == pytest.approx(
+        oracle.precision, abs=1e-7
     )

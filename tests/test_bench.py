@@ -11,13 +11,11 @@ from repro.bench import (
     BenchReport,
     BenchResult,
     BenchSchemaError,
-    Comparison,
     EnvFingerprint,
     SampleStats,
     append_history,
     compare_reports,
     compare_results,
-    load_engine_baseline,
     load_parallel_baseline,
     read_bench_report,
     read_history,
@@ -155,7 +153,7 @@ class TestValidator:
     def test_legacy_bare_list_rejected_with_pointer(self, tmp_path):
         path = tmp_path / "legacy.json"
         path.write_text(json.dumps([{"n": 64, "numpy_seconds": 0.005}]))
-        with pytest.raises(BenchSchemaError, match="load_engine_baseline"):
+        with pytest.raises(BenchSchemaError, match="regenerate with the bench harness"):
             validate_bench_file(path)
 
     def test_duplicate_result_keys_rejected(self, tmp_path):
@@ -181,34 +179,6 @@ class TestValidator:
 
 
 class TestLegacyShims:
-    def test_engine_rows_from_legacy_list(self, tmp_path):
-        path = tmp_path / "BENCH_engine.json"
-        path.write_text(json.dumps([
-            {"n": 64, "python_seconds": 0.05, "numpy_seconds": 0.005,
-             "precision": 1.25, "speedup": 10.0},
-        ]))
-        rows = load_engine_baseline(path)
-        assert rows[64]["numpy_seconds"] == 0.005
-        assert rows[64]["speedup"] == 10.0
-
-    def test_engine_rows_from_report(self, tmp_path):
-        results = [
-            _result(
-                name="engine.pipeline",
-                params={"backend": backend, "n": 64},
-                wall=(0.004, 0.005) if backend == "numpy" else (0.04, 0.05),
-                extra={"precision": 1.25},
-            )
-            for backend in ("python", "numpy")
-        ] + [_result(name="sim.run", params={"n": 16})]
-        path = write_bench_report(tmp_path / "e.json", _report(results))
-        rows = load_engine_baseline(path)
-        assert set(rows) == {64}
-        assert rows[64]["numpy_seconds"] == 0.004  # wall.min
-        assert rows[64]["python_seconds"] == 0.04
-        assert rows[64]["speedup"] == pytest.approx(10.0)
-        assert rows[64]["precision"] == 1.25
-
     def test_parallel_legacy_dict_passes_through(self, tmp_path):
         legacy = {"grid": {"preset": "e9c"}, "runs": [{"workers": 1}]}
         path = tmp_path / "BENCH_parallel.json"
@@ -542,7 +512,7 @@ class TestObsMemory:
 class TestSmokeIntegration:
     def test_real_smoke_case_end_to_end(self, tmp_path):
         outcome = run_suite(
-            suite="smoke", names=["engine.karp[backend=numpy,n=32]"],
+            suite="smoke", names=["engine.karp[n=32]"],
             repeats=1, warmup=0, collect_spans=True,
         )
         (result,) = outcome.report.results

@@ -285,7 +285,7 @@ class TestRecordTelemetry:
 
 
 class TestBenchCommand:
-    def _run_smoke(self, tmp_path, name="engine.karp[backend=numpy,n=32]"):
+    def _run_smoke(self, tmp_path, name="engine.karp[n=32]"):
         out = tmp_path / "bench.json"
         history = tmp_path / "history.jsonl"
         code = main([
@@ -325,7 +325,7 @@ class TestBenchCommand:
     def test_bench_run_no_history(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
         assert main([
-            "bench", "run", "--name", "engine.karp[backend=numpy,n=32]",
+            "bench", "run", "--name", "engine.karp[n=32]",
             "--repeats", "1", "--warmup", "0",
             "--out", str(out), "--no-history",
             "--history", str(tmp_path / "history.jsonl"),

@@ -1,9 +1,8 @@
 """Unit tests for the matrix engine layer (repro.engine).
 
 Covers the ProcessorIndex row mapping, the EngineStats hooks, the
-backend registry, the numpy kernels against their graph-code oracles,
-the shared argument validation of the engine base class, and the
-incremental closure update of the numpy backend.
+matrix kernels against their graph-code oracles, the engine's argument
+validation, and its incremental closure update.
 """
 
 import random
@@ -14,19 +13,8 @@ import pytest
 from repro._types import INF
 from repro.core.global_estimates import InconsistentViewsError
 from repro.core.shifts import UnboundedPrecisionError
-from repro.engine import (
-    AUTO_BACKEND,
-    NUMPY_BACKEND_THRESHOLD,
-    NumpyEngine,
-    ProcessorIndex,
-    PythonEngine,
-    available_backends,
-    create_engine,
-    register_backend,
-    resolve_backend_name,
-)
-from repro.engine import registry
-from repro.engine.numpy_backend import (
+from repro.engine import ProcessorIndex, SyncEngine
+from repro.engine.matrix import (
     bellman_ford_matrix,
     has_negative_diagonal,
     karp_max_cycle_mean_matrix,
@@ -134,7 +122,7 @@ class TestEngineStats:
         assert stats.timings == {} and stats.counters == {}
 
     def test_engine_records_stage_stats(self):
-        engine = NumpyEngine()
+        engine = SyncEngine()
         mls, _ = potentials_matrix(random.Random(0), 6)
         ms = engine.global_estimates(mls)
         engine.components(mls, ms)
@@ -149,50 +137,7 @@ class TestEngineStats:
 
 
 # ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-
-class TestRegistry:
-    def test_available_backends(self):
-        assert available_backends() == ["numpy", "python"]
-
-    def test_auto_selects_by_size(self):
-        assert resolve_backend_name(None, NUMPY_BACKEND_THRESHOLD) == "numpy"
-        assert (
-            resolve_backend_name(None, NUMPY_BACKEND_THRESHOLD - 1) == "python"
-        )
-        assert resolve_backend_name(AUTO_BACKEND, 100) == "numpy"
-        assert resolve_backend_name(None, None) == "python"
-        assert resolve_backend_name("python", 100) == "python"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            resolve_backend_name("cuda")
-
-    def test_create_engine(self):
-        assert isinstance(create_engine("python"), PythonEngine)
-        assert isinstance(create_engine("numpy"), NumpyEngine)
-        assert isinstance(create_engine(None, 100), NumpyEngine)
-
-    def test_register_backend_guards(self):
-        with pytest.raises(ValueError, match="reserved"):
-            register_backend(AUTO_BACKEND, PythonEngine)
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("python", PythonEngine)
-
-    def test_register_custom_backend(self):
-        register_backend("custom-test", PythonEngine)
-        try:
-            assert "custom-test" in available_backends()
-            assert resolve_backend_name("custom-test") == "custom-test"
-            assert isinstance(create_engine("custom-test"), PythonEngine)
-        finally:
-            registry._FACTORIES.pop("custom-test", None)
-
-
-# ----------------------------------------------------------------------
-# numpy kernels vs the graph-code oracles
+# Matrix kernels vs the graph-code oracles
 # ----------------------------------------------------------------------
 
 
@@ -264,65 +209,71 @@ class TestKernels:
 
 
 # ----------------------------------------------------------------------
-# Base-class validation shared by every backend
+# Argument validation
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine_cls", [PythonEngine, NumpyEngine])
 class TestEngineValidation:
-    def test_non_square_rejected(self, engine_cls):
+    def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
-            engine_cls().global_estimates(np.zeros((2, 3)))
+            SyncEngine().global_estimates(np.zeros((2, 3)))
 
-    def test_unknown_method_rejected(self, engine_cls):
-        ms = np.zeros((2, 2))
-        with pytest.raises(ValueError, match="cycle-mean method"):
-            engine_cls().shifts(ms, method="fancy")
-
-    def test_bad_rows_rejected(self, engine_cls):
+    def test_bad_rows_rejected(self):
         ms = np.zeros((3, 3))
         with pytest.raises(ValueError, match="no rows"):
-            engine_cls().shifts(ms, rows=[])
+            SyncEngine().shifts(ms, rows=[])
         with pytest.raises(ValueError, match="root row"):
-            engine_cls().shifts(ms, rows=[0, 1], root_row=2)
+            SyncEngine().shifts(ms, rows=[0, 1], root_row=2)
 
-    def test_single_row_shortcut(self, engine_cls):
+    def test_single_row_shortcut(self):
         ms = np.full((3, 3), INF)
         np.fill_diagonal(ms, 0.0)
-        outcome = engine_cls().shifts(ms, rows=[1])
+        outcome = SyncEngine().shifts(ms, rows=[1])
         assert outcome.a_max == 0.0
         assert outcome.cycle_rows is None
         assert list(outcome.corrections) == [0.0]
 
-    def test_unbounded_pairs_reported(self, engine_cls):
+    def test_unbounded_pairs_reported(self):
         ms = np.array([[0.0, INF], [1.0, 0.0]])
         with pytest.raises(UnboundedPrecisionError) as err:
-            engine_cls().shifts(ms)
+            SyncEngine().shifts(ms)
         assert err.value.pairs == [(0, 1)]
 
-    def test_negative_cycle_raises_inconsistent(self, engine_cls):
+    def test_unbounded_pairs_row_major_across_two_components(self):
+        """Every infinite off-diagonal pair, in row-major global rows."""
+        # Components {0, 2} and {1, 3}: finite within, infinite across.
+        ms = np.full((4, 4), INF)
+        for i, j in ((0, 2), (2, 0), (1, 3), (3, 1)):
+            ms[i, j] = 1.0
+        np.fill_diagonal(ms, 0.0)
+        with pytest.raises(UnboundedPrecisionError) as err:
+            SyncEngine().shifts(ms, rows=[3, 0, 1, 2])
+        assert err.value.pairs == [
+            (3, 0), (3, 2),
+            (0, 3), (0, 1),
+            (1, 0), (1, 2),
+            (2, 3), (2, 1),
+        ]
+
+    def test_negative_cycle_raises_inconsistent(self):
         mls = np.array([[0.0, -3.0], [1.0, 0.0]])
         with pytest.raises(InconsistentViewsError):
-            engine_cls().global_estimates(mls)
+            SyncEngine().global_estimates(mls)
 
 
 # ----------------------------------------------------------------------
-# Incremental closure update (numpy backend)
+# Incremental closure update
 # ----------------------------------------------------------------------
 
 
 class TestIncrementalUpdate:
-    def test_python_backend_has_no_incremental_path(self):
-        ms = np.zeros((2, 2))
-        assert PythonEngine().incremental_update(ms, [(0, 1, -1.0)]) is None
-
     @pytest.mark.parametrize("seed", range(10))
     def test_incremental_matches_full_closure(self, seed):
         """Decreasing mls~ entries then repairing == recomputing."""
         rng = random.Random(seed)
         n = rng.randint(3, 12)
         mls, slack = potentials_matrix(rng, n, density=0.8, lo=0.5)
-        engine = NumpyEngine()
+        engine = SyncEngine()
         ms = engine.global_estimates(mls)
 
         new_mls = mls.copy()
@@ -347,7 +298,7 @@ class TestIncrementalUpdate:
 
     def test_incremental_detects_negative_cycle(self):
         mls = np.array([[0.0, 1.0], [1.0, 0.0]])
-        engine = NumpyEngine()
+        engine = SyncEngine()
         ms = engine.global_estimates(mls)
         with pytest.raises(InconsistentViewsError):
             engine.incremental_update(ms, [(0, 1, -2.0)])

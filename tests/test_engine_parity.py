@@ -1,21 +1,25 @@
-"""Property test: the numpy engine is exchangeable with the reference.
+"""Property test: the matrix engine agrees with the dict oracle.
 
-Satellite of the engine-layer refactor: across ~50 seeded random
-systems -- including negative ``mls~`` weights, sparse/disconnected
-graphs, multi-component decompositions, and inconsistent views -- the
-``"numpy"`` backend must agree with the ``"python"`` reference backend
-on every observable of the pipeline:
+Across ~50 seeded random systems -- including negative ``mls~`` weights,
+sparse/disconnected graphs, multi-component decompositions, and
+inconsistent views -- :class:`~repro.engine.SyncEngine` must agree with
+the dict/digraph oracle functions on every observable of the pipeline:
 
-* the ``ms~`` closure matrix (``A^max`` inputs),
-* the synchronization components (sets *and* order),
+* the ``ms~`` closure against
+  :func:`~repro.core.global_estimates.global_shift_estimates`;
+* the synchronization components (sets *and* order) against Tarjan's
+  strongly connected components of
+  :func:`~repro.core.global_estimates.shift_graph`;
 * per-component ``A^max`` and corrections (up to root normalization,
-  which both backends pin to ``x_root = 0``),
+  which both pin to ``x_root = 0``) against
+  :func:`~repro.core.shifts.shifts` with *both* cycle-mean methods,
+  ``"karp"`` and ``"howard"``;
 * the error behaviour (``InconsistentViewsError`` for negative cycles,
   ``UnboundedPrecisionError`` with the same offending pairs).
 
 A second layer runs real simulated systems through the
-:class:`~repro.core.synchronizer.ClockSynchronizer` facade with each
-backend and requires *certified* results of identical precision.
+:class:`~repro.core.synchronizer.ClockSynchronizer` facade and requires
+*certified* results whose precision matches the oracle pipeline.
 """
 
 import random
@@ -24,14 +28,60 @@ import numpy as np
 import pytest
 
 from repro._types import INF
-from repro.core.global_estimates import InconsistentViewsError
+from repro.core.estimates import local_shift_estimates
+from repro.core.global_estimates import (
+    InconsistentViewsError,
+    global_shift_estimates,
+    shift_graph,
+)
 from repro.core.optimality import verify_certificate
 from repro.core.precision import rho_bar
-from repro.core.shifts import UnboundedPrecisionError
+from repro.core.shifts import UnboundedPrecisionError, shifts
 from repro.core.synchronizer import ClockSynchronizer
-from repro.engine import NumpyEngine, PythonEngine
+from repro.engine import SyncEngine
 from repro.graphs.topology import ring
 from repro.workloads.scenarios import bounded_uniform, heterogeneous
+
+#: The dict oracle's two cycle-mean methods.
+ORACLE_METHODS = ("karp", "howard")
+
+
+def mls_pairs(mls):
+    """The dict form of an ``mls~`` matrix (rows double as processor ids).
+
+    Infinite entries are left out, and so are non-negative diagonal
+    entries; a negative diagonal entry is a negative cycle and stays.
+    """
+    n = len(mls)
+    return {
+        (i, j): float(mls[i, j])
+        for i in range(n)
+        for j in range(n)
+        if (mls[i, j] < 0.0 if i == j else mls[i, j] != INF)
+    }
+
+
+def oracle_closure(mls):
+    """``ms~`` as a matrix, by the dict GLOBAL ESTIMATES."""
+    n = len(mls)
+    ms = global_shift_estimates(list(range(n)), mls_pairs(mls))
+    out = np.full((n, n), INF)
+    for (i, j), weight in ms.items():
+        out[i, j] = weight
+    return out
+
+
+def oracle_components(mls):
+    """Tarjan components of the finite ``mls~`` graph, in engine order."""
+    graph = shift_graph(list(range(len(mls))), mls_pairs(mls))
+    components = [sorted(c) for c in graph.strongly_connected_components()]
+    return sorted(components, key=lambda c: c[0])
+
+
+def oracle_shifts(ms, rows, method):
+    """Dict SHIFTS over ``rows`` of an ``ms~`` matrix."""
+    ms_dict = {(i, j): float(ms[i, j]) for i in rows for j in rows}
+    return shifts(list(rows), ms_dict, root=rows[0], method=method)
 
 
 def random_mls_matrix(rng, n, density, blocks=1):
@@ -58,36 +108,38 @@ def random_mls_matrix(rng, n, density, blocks=1):
     return matrix
 
 
-def assert_engines_agree(mls):
-    """Run both engines over one mls~ matrix and compare all observables."""
-    python_engine, numpy_engine = PythonEngine(), NumpyEngine()
-    ms_python = python_engine.global_estimates(mls)
-    ms_numpy = numpy_engine.global_estimates(mls)
-    assert np.allclose(ms_python, ms_numpy, atol=1e-9)  # inf == inf ok
+def assert_engine_matches_oracle(mls):
+    """Run the engine and the oracle over one mls~ matrix; compare all."""
+    engine = SyncEngine()
+    ms = engine.global_estimates(mls)
+    ms_oracle = oracle_closure(mls)
+    assert np.allclose(ms, ms_oracle, atol=1e-9)  # inf == inf ok
 
-    components_python = python_engine.components(mls, ms_python)
-    components_numpy = numpy_engine.components(mls, ms_numpy)
-    assert components_python == components_numpy
+    components = engine.components(mls, ms)
+    assert components == oracle_components(mls)
 
-    for rows in components_python:
-        out_python = python_engine.shifts(ms_python, rows=rows)
-        out_numpy = numpy_engine.shifts(ms_numpy, rows=rows)
-        assert out_numpy.a_max == pytest.approx(out_python.a_max, abs=1e-7)
-        # Both pin the root (rows[0]) to zero; compare normalized anyway.
-        norm_python = out_python.corrections - out_python.corrections[0]
-        norm_numpy = out_numpy.corrections - out_numpy.corrections[0]
-        assert np.allclose(norm_python, norm_numpy, atol=1e-7)
+    for rows in components:
+        out = engine.shifts(ms, rows=rows)
+        for method in ORACLE_METHODS:
+            oracle = oracle_shifts(ms_oracle, rows, method)
+            assert out.a_max == pytest.approx(oracle.precision, abs=1e-7)
+            # Both pin the root (rows[0]) to zero; compare normalized.
+            expected = np.array([oracle.corrections[r] for r in rows])
+            assert np.allclose(
+                out.corrections - out.corrections[0],
+                expected - expected[0],
+                atol=1e-7,
+            )
         if len(rows) > 1:
-            assert out_python.cycle_rows is not None
-            assert out_numpy.cycle_rows is not None
-            for cycle in (out_python.cycle_rows, out_numpy.cycle_rows):
-                assert set(cycle) <= set(rows)
-                # The witness must achieve A^max on the shared ms~ matrix.
-                k = len(cycle)
-                total = sum(
-                    ms_python[cycle[i], cycle[(i + 1) % k]] for i in range(k)
-                )
-                assert total / k == pytest.approx(out_python.a_max, abs=1e-6)
+            assert out.cycle_rows is not None
+            cycle = out.cycle_rows
+            assert set(cycle) <= set(rows)
+            # The witness must achieve A^max on the oracle's ms~ matrix.
+            k = len(cycle)
+            total = sum(
+                ms_oracle[cycle[i], cycle[(i + 1) % k]] for i in range(k)
+            )
+            assert total / k == pytest.approx(out.a_max, abs=1e-6)
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -97,12 +149,12 @@ def test_random_system_parity(seed):
     n = rng.randint(2, 14)
     blocks = 1 if seed % 3 else rng.randint(1, min(3, n))
     density = rng.uniform(0.4, 1.0)
-    assert_engines_agree(random_mls_matrix(rng, n, density, blocks))
+    assert_engine_matches_oracle(random_mls_matrix(rng, n, density, blocks))
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_negative_cycle_parity(seed):
-    """Inconsistent views raise the same error from both backends."""
+    """Inconsistent views raise the same error from engine and oracle."""
     rng = random.Random(seed)
     n = rng.randint(3, 10)
     mls = random_mls_matrix(rng, n, density=0.8)
@@ -110,9 +162,10 @@ def test_negative_cycle_parity(seed):
     i, j = rng.sample(range(n), 2)
     mls[i, j] = -3.0
     mls[j, i] = 1.0
-    for engine in (PythonEngine(), NumpyEngine()):
-        with pytest.raises(InconsistentViewsError):
-            engine.global_estimates(mls)
+    with pytest.raises(InconsistentViewsError):
+        SyncEngine().global_estimates(mls)
+    with pytest.raises(InconsistentViewsError):
+        oracle_closure(mls)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -121,39 +174,36 @@ def test_unbounded_pairs_parity(seed):
     rng = random.Random(seed)
     n = rng.randint(4, 10)
     mls = random_mls_matrix(rng, n, density=0.9, blocks=2)
-    python_engine, numpy_engine = PythonEngine(), NumpyEngine()
-    ms_python = python_engine.global_estimates(mls)
-    ms_numpy = numpy_engine.global_estimates(mls)
-    with pytest.raises(UnboundedPrecisionError) as err_python:
-        python_engine.shifts(ms_python)
-    with pytest.raises(UnboundedPrecisionError) as err_numpy:
-        numpy_engine.shifts(ms_numpy)
-    assert err_python.value.pairs == err_numpy.value.pairs
-    assert err_python.value.pairs  # two blocks really are disconnected
+    ms = SyncEngine().global_estimates(mls)
+    with pytest.raises(UnboundedPrecisionError) as err_engine:
+        SyncEngine().shifts(ms)
+    for method in ORACLE_METHODS:
+        with pytest.raises(UnboundedPrecisionError) as err_oracle:
+            oracle_shifts(oracle_closure(mls), list(range(n)), method)
+        assert err_engine.value.pairs == err_oracle.value.pairs
+    assert err_engine.value.pairs  # two blocks really are disconnected
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("make", [bounded_uniform, heterogeneous])
 def test_synchronizer_backend_parity_certified(seed, make):
-    """Full facade on simulated executions: both backends certify."""
+    """Full facade on simulated executions: certified, oracle precision."""
     n = 5 + 2 * seed
     if make is bounded_uniform:
         scenario = make(ring(n), lb=1.0, ub=3.0, seed=seed)
     else:
         scenario = make(ring(n), seed=seed)
     views = scenario.run().views()
-    results = {}
-    for backend in ("python", "numpy"):
-        sync = ClockSynchronizer(scenario.system, backend=backend)
-        assert sync.backend == backend
-        result = sync.from_views(views)
-        verify_certificate(result)
-        results[backend] = result
-    python_result, numpy_result = results["python"], results["numpy"]
-    assert numpy_result.precision == pytest.approx(
-        python_result.precision, abs=1e-9
+    result = ClockSynchronizer(scenario.system).from_views(views)
+    verify_certificate(result)
+    processors = list(scenario.system.processors)
+    ms_oracle = global_shift_estimates(
+        processors, local_shift_estimates(scenario.system, views)
     )
-    # numpy corrections are optimal under the reference ms~ too.
-    assert rho_bar(
-        python_result.ms_tilde, numpy_result.corrections
-    ) == pytest.approx(python_result.precision, abs=1e-7)
+    for method in ORACLE_METHODS:
+        oracle = shifts(processors, ms_oracle, method=method)
+        assert result.precision == pytest.approx(oracle.precision, abs=1e-9)
+    # The engine's corrections are optimal under the oracle's ms~ too.
+    assert rho_bar(ms_oracle, result.corrections) == pytest.approx(
+        result.precision, abs=1e-7
+    )

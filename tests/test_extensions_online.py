@@ -51,14 +51,13 @@ class TestStreamingEqualsBatch:
 
 class TestNumpyIncrementalPath:
     def test_streaming_equals_batch_with_incremental_engine(self):
-        """On the numpy backend, interleaved refreshes go through the
-        incremental closure repair -- and must still equal batch."""
+        """Interleaved refreshes go through the incremental closure
+        repair -- and must still equal batch."""
         scenario = bounded_uniform(ring(16), lb=1.0, ub=3.0, probes=2, seed=3)
         alpha = scenario.run()
         from repro.core.estimates import estimated_delays
 
-        online = OnlineSynchronizer(scenario.system, backend="numpy")
-        assert online.synchronizer.backend == "numpy"
+        online = OnlineSynchronizer(scenario.system)
         stream = [
             (edge, value)
             for edge, delays in sorted(estimated_delays(alpha.views()).items())
@@ -69,21 +68,11 @@ class TestNumpyIncrementalPath:
             if k % 7 == 0:
                 online.result()  # force interleaved incremental refreshes
         streamed = online.result()
-        batch = ClockSynchronizer(
-            scenario.system, backend="numpy"
-        ).from_execution(alpha)
+        batch = ClockSynchronizer(scenario.system).from_execution(alpha)
         assert streamed.precision == pytest.approx(batch.precision)
         assert streamed.corrections == pytest.approx(batch.corrections)
         counters = online.synchronizer.engine.stats.counters
         assert counters.get("incremental_update.calls", 0) > 0
-
-    def test_backend_validated_eagerly(self, scenario):
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            OnlineSynchronizer(scenario.system, backend="cuda")
-
-    def test_method_validated_eagerly(self, scenario):
-        with pytest.raises(ValueError, match="cycle-mean method"):
-            OnlineSynchronizer(scenario.system, method="fancy")
 
 
 class TestIncrementalBehaviour:

@@ -26,7 +26,9 @@ import pytest
 
 from repro.analysis.system_io import load_system
 from repro.analysis.trace import load_execution
+from repro.core.global_estimates import global_shift_estimates
 from repro.core.optimality import verify_certificate
+from repro.core.shifts import shifts
 from repro.core.synchronizer import ClockSynchronizer
 
 DATA = Path(__file__).parent / "data"
@@ -74,15 +76,22 @@ class TestGoldenTrace:
         result = ClockSynchronizer(system).from_execution(alpha)
         verify_certificate(result)
 
-    def test_all_backends_agree_on_golden_instance(self, archive):
+    def test_engine_matches_both_oracle_methods_on_golden_instance(
+        self, archive
+    ):
         system, alpha = archive
-        for method in ("karp", "karp-numpy", "howard"):
-            result = ClockSynchronizer(system, method=method).from_execution(
-                alpha
-            )
+        result = ClockSynchronizer(system).from_execution(alpha)
+        processors = list(system.processors)
+        ms = global_shift_estimates(processors, result.mls_tilde)
+        for method in ("karp", "howard"):
+            oracle = shifts(processors, ms, method=method)
             assert result.precision == pytest.approx(
-                PINNED_PRECISION, abs=1e-9
+                oracle.precision, abs=1e-9
             ), method
+            for p in processors:
+                assert result.corrections[p] == pytest.approx(
+                    oracle.corrections[p], abs=1e-9
+                ), (method, p)
 
 
 BIAS_PINNED_PRECISION = 0.12685070296264667

@@ -127,16 +127,3 @@ class TestShiftsIntegration:
 
         with pytest.raises(ValueError, match="method"):
             shifts([0, 1], {(0, 1): 1.0, (1, 0): 1.0}, method="magic")
-
-    def test_synchronizer_accepts_method(self):
-        from repro.core.synchronizer import ClockSynchronizer
-        from repro.workloads.scenarios import bounded_uniform
-        from repro.graphs.topology import ring
-
-        scenario = bounded_uniform(ring(5), lb=1.0, ub=3.0, seed=3)
-        alpha = scenario.run()
-        karp = ClockSynchronizer(scenario.system, method="karp")
-        howard = ClockSynchronizer(scenario.system, method="howard")
-        a = karp.from_execution(alpha)
-        b = howard.from_execution(alpha)
-        assert b.precision == pytest.approx(a.precision)

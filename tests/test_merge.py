@@ -243,7 +243,7 @@ class TestQuarantineVsGap:
                 CellResult(
                     scenario="bounded", topology="ring-4", seed=0,
                     precision=2.0, rho_bar=2.0, realized=1.0, sound=True,
-                    backend="python", seconds=0.01,
+                    seconds=0.01,
                 ),
             )
             sink.append_failure(

@@ -114,12 +114,12 @@ class TestOnlineInstrumentation:
         scenario = _scenario(seed=2)
         views = scenario.run().views()
         with recording() as rec:
-            online = OnlineSynchronizer(scenario.system, backend="numpy")
+            online = OnlineSynchronizer(scenario.system)
             ingested = online.ingest_views(views)
             online.result()
             online.result()  # cached
-            # a slightly tighter extreme forces a refresh; the numpy
-            # engine repairs the cached closure incrementally
+            # a slightly tighter extreme forces a refresh; the engine
+            # repairs the cached closure incrementally
             edge = next(iter(scenario.system.topology.links))
             current = online.edge_stats(edge[0], edge[1]).min_delay
             online.observe(edge[0], edge[1], current - 0.01)

@@ -189,7 +189,7 @@ class TestRunnerPathsEmit:
         grid = [("bounded", "ring-4", seed) for seed in range(2)]
         result = CellResult(
             scenario="bounded", topology="ring-4", seed=0, precision=2.0,
-            rho_bar=2.0, realized=1.0, sound=True, backend="python",
+            rho_bar=2.0, realized=1.0, sound=True,
             seconds=0.01,
         )
         with ResultSink(tmp_path) as sink:

@@ -94,11 +94,29 @@ class TestCellResultSerialization:
     def test_infinite_precision_roundtrips(self):
         result = CellResult(
             scenario="s", topology="t", seed=0, precision=math.inf,
-            rho_bar=math.inf, realized=1.0, sound=True, backend="python",
+            rho_bar=math.inf, realized=1.0, sound=True,
             seconds=0.1,
         )
         clone = CellResult.from_json(result.to_json())
         assert math.isinf(clone.precision)
+
+    def test_loads_records_written_with_backend_key(self):
+        """Stream and cache records from before the engine lost its
+        ``backend`` option still load, so resume and merge keep working
+        on existing result directories."""
+        record = {
+            "type": "campaign.cell", "scenario": "bounded",
+            "topology": "ring-4", "seed": 3, "precision": "inf",
+            "rho_bar": "inf", "realized": 1.5, "sound": True,
+            "backend": "python", "seconds": 0.25,
+            "timings": {"shifts": 0.001}, "cache_hit": False,
+            "degraded": False,
+        }
+        result = CellResult.from_json(record)
+        assert result.fingerprint() == (
+            "bounded", "ring-4", 3, math.inf, math.inf, 1.5, True
+        )
+        assert "backend" not in result.to_json()
 
     def test_rejects_foreign_records(self):
         with pytest.raises(ValueError, match="campaign.cell"):
@@ -176,7 +194,6 @@ class TestResultCache:
     def test_key_sensitive_to_options_and_topology(self):
         base = cell_cache_key(make_task())
         assert base != cell_cache_key(make_task(certify=False))
-        assert base != cell_cache_key(make_task(backend="python"))
         assert base != cell_cache_key(make_task(topology=ring(5)))
 
     def test_key_sensitive_to_sampler_not_builder_name(self):

@@ -19,8 +19,6 @@ import pytest
 
 import repro
 from repro import ObsOptions, Session, resolve_source
-from repro.delays.bounds import BoundedDelay
-from repro.delays.system import System
 from repro.graphs.topology import ring
 from repro.live.trace import ProbeLog, write_probe_log
 from repro.live.wire import Report
@@ -68,11 +66,11 @@ class TestObsOptions:
 
 class TestSession:
     def test_merged_explicit_wins(self):
-        session = Session(backend="python", workers=2)
-        merged = session.merged(backend="numpy")
-        assert merged.backend == "numpy"
+        session = Session(root=0, workers=2)
+        merged = session.merged(root=3)
+        assert merged.root == 3
         assert merged.workers == 2
-        assert session.backend == "python"  # original untouched
+        assert session.root == 0  # original untouched
 
     def test_merged_rejects_unknown_field(self):
         with pytest.raises(TypeError, match="no field"):
@@ -94,7 +92,7 @@ class TestSession:
         base = repro.run(scenario.system, execution)
         via_session = repro.run(
             scenario.system, execution,
-            session=Session(backend="python", method="karp"),
+            session=Session(certify=True),
         )
         assert via_session.corrections == base.corrections
         assert via_session.precision == base.precision
@@ -105,7 +103,7 @@ class TestSession:
 
         table = repro.sweep(
             {"bounded": builder}, [ring(3)], seeds=(0,),
-            session=Session(backend="python", workers=1),
+            session=Session(workers=1),
         )
         assert len(table.rows) == 1
 

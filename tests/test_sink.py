@@ -51,7 +51,7 @@ def make_result(seed, precision=2.0, **kwargs):
     return CellResult(
         scenario="bounded", topology="ring-4", seed=seed,
         precision=precision, rho_bar=precision, realized=1.0, sound=True,
-        backend="python", seconds=0.01, **kwargs,
+        seconds=0.01, **kwargs,
     )
 
 
@@ -243,7 +243,7 @@ class TestRoundTripFuzz:
         result = CellResult(
             scenario="bounded", topology="ring-4", seed=seed,
             precision=precision, rho_bar=rho_bar, realized=realized,
-            sound=sound, backend="python", seconds=0.5, timings=timings,
+            sound=sound, seconds=0.5, timings=timings,
             cache_hit=cache_hit, degraded=degraded,
         )
         # through an actual JSON text round trip, as the sink does
@@ -337,7 +337,7 @@ def _stub_execute_cell(task):
             scenario=spec.builder, topology=spec.topology.name,
             seed=spec.seed, precision=float(spec.seed % 7),
             rho_bar=float(spec.seed % 7), realized=0.5, sound=True,
-            backend="stub", seconds=0.0,
+            seconds=0.0,
         ),
         metrics={},
     )
